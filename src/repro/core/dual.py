@@ -32,9 +32,10 @@ from repro.query.types import MovingObjectState, Vector
 class DualPoint(NamedTuple):
     """A transformed entry: object id plus dual coordinates.
 
-    A ``NamedTuple`` rather than a dataclass: millions of these are built
-    when thrashed leaf pages are re-deserialized, and tuple construction is
-    measurably cheaper.
+    A ``NamedTuple`` rather than a dataclass: write paths build one per
+    entry of every leaf they touch, and tuple construction is measurably
+    cheaper.  Reads never build them: leaf records decode into
+    :class:`repro.core.nodes.LeafSoA` columns.
     """
 
     oid: int

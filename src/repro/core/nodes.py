@@ -17,14 +17,16 @@ Side lengths are not stored: a node at level ``k`` spans
 and the level.
 
 All integers are little-endian; coordinates are 8-byte floats by default or
-4-byte floats in the paper-faithful ``float32`` layout.
+4-byte floats in the paper-faithful ``float32`` layout.  Leaf and extension
+records decode straight into :class:`LeafSoA` columns; their
+:class:`DualPoint` lists are built only when a write path asks for them.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import List, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -62,16 +64,16 @@ class NonLeafNode:
 
 
 class LeafSoA:
-    """Structure-of-arrays view of one leaf record's entries.
+    """Columnar entries of one leaf-like record.
 
-    ``oids`` is an ``int64`` column; ``vs``/``ps`` are ``(n, d)`` coordinate
-    columns.  The tree builds them as ``float64`` even in the
-    paper-faithful float32 layout: dual coordinates are rounded at
-    transform time and widen exactly, so the column holds the same values
-    the scalar path compares without a per-query upcast copy.  The
-    vectorized query kernels
-    (:meth:`repro.core.query_region.QueryRegion2D.contains_batch`) consume
-    these columns instead of iterating :class:`DualPoint` objects.
+    ``oids`` is an ``int64`` column; ``vs``/``ps`` are ``(n, d)``
+    ``float64`` coordinate columns, even in the paper-faithful float32
+    layout: widening a float32 coordinate to float64 is exact, so the
+    columns hold the very values the record stores and the query kernels
+    (:meth:`repro.core.query_region.QueryRegion2D.contains_batch`) need no
+    per-query upcast copy.  Decoding a record yields these columns
+    directly (:meth:`NodeCodec.deserialize`); the :class:`DualPoint` list
+    is derived from them only on demand (:meth:`to_entries`).
     """
 
     __slots__ = ("oids", "vs", "ps")
@@ -84,73 +86,142 @@ class LeafSoA:
     def __len__(self) -> int:
         return len(self.oids)
 
+    @classmethod
+    def of(cls, entries: List[DualPoint], d: int) -> "LeafSoA":
+        """Columns of an entry list (the write-side direction)."""
+        n = len(entries)
+        if n == 0:
+            return cls(np.empty(0, dtype=np.int64),
+                       np.empty((0, d), dtype=np.float64),
+                       np.empty((0, d), dtype=np.float64))
+        oids = np.fromiter((e.oid for e in entries), dtype=np.int64, count=n)
+        vs = np.array([e.v for e in entries], dtype=np.float64)
+        ps = np.array([e.p for e in entries], dtype=np.float64)
+        return cls(oids, vs, ps)
 
-def _build_soa(entries: List[DualPoint], d: int, dtype) -> LeafSoA:
-    n = len(entries)
-    if n == 0:
-        return LeafSoA(np.empty(0, dtype=np.int64),
-                       np.empty((0, d), dtype=dtype),
-                       np.empty((0, d), dtype=dtype))
-    oids = np.fromiter((e.oid for e in entries), dtype=np.int64, count=n)
-    vs = np.array([e.v for e in entries], dtype=dtype)
-    ps = np.array([e.p for e in entries], dtype=dtype)
-    return LeafSoA(oids, vs, ps)
+    def to_entries(self) -> List[DualPoint]:
+        """The columns as :class:`DualPoint` objects, row by row."""
+        return [DualPoint(oid, tuple(v), tuple(p)) for oid, v, p in
+                zip(self.oids.tolist(), self.vs.tolist(), self.ps.tolist())]
 
 
-class _SoACacheMixin:
-    """Lazily built, self-invalidating SoA view for leaf-like records.
+class _LeafEntries:
+    """Entries of a leaf-like record: read as columns, written as a list.
 
-    The cached view is valid while the record's ``entries`` list is the
-    *same object* at the *same length*: every mutation path either
-    replaces the list or appends to it.  Holding a reference to the list
-    (not just its ``id``) makes the identity test immune to CPython id
-    reuse after garbage collection.
+    A decoded record holds only its :class:`LeafSoA` columns, so a query
+    over it never builds a :class:`DualPoint`.  The ``entries`` list is
+    built from the columns the first time something asks for it (write
+    paths, the generic :meth:`repro.core.quadtree.DualQuadTree.search`,
+    ``check()``, ``==``).  From then on the list is the authority:
+    :meth:`soa` re-derives the columns from it whenever it is no longer
+    the *same object* at the *same length* they were derived from --
+    every mutation path either replaces the list or appends to it.
+    Holding a reference to the list (not just its ``id``) makes the
+    identity test immune to CPython id reuse after garbage collection.
     """
 
-    # Plain class attributes, not dataclass fields: they never serialize,
-    # never compare, and start unset on every deserialized record.
-    _soa = None
-    _soa_entries = None
-    _soa_len = -1
+    __slots__ = ("_entries", "_cols", "_cols_of", "_cols_len")
 
-    def soa(self, d: int, dtype) -> LeafSoA:
-        entries = self.entries
-        if (self._soa is not None and self._soa_entries is entries
-                and self._soa_len == len(entries)):
-            return self._soa
-        view = _build_soa(entries, d, dtype)
-        self._soa = view
-        self._soa_entries = entries
-        self._soa_len = len(entries)
-        return view
+    def _init_entries(self, entries: Optional[List[DualPoint]],
+                      columns: Optional[LeafSoA]) -> None:
+        if columns is None:
+            self._entries = entries if entries is not None else []
+        else:
+            self._entries = None
+        self._cols = columns
+        self._cols_of = None
+        self._cols_len = -1
+
+    @property
+    def entries(self) -> List[DualPoint]:
+        entries = self._entries
+        if entries is None:
+            entries = self._cols.to_entries()
+            self._entries = self._cols_of = entries
+            self._cols_len = len(entries)
+        return entries
+
+    @entries.setter
+    def entries(self, entries: List[DualPoint]) -> None:
+        self._entries = entries
+
+    @property
+    def size(self) -> int:
+        """Entries in this record only (not the overflow chain)."""
+        entries = self._entries
+        return len(self._cols) if entries is None else len(entries)
+
+    def soa(self, d: int) -> LeafSoA:
+        """The record's entries as columns (``d`` shapes an empty one)."""
+        entries = self._entries
+        if entries is None or (self._cols_of is entries
+                               and self._cols_len == len(entries)):
+            return self._cols
+        cols = LeafSoA.of(entries, d)
+        self._cols = cols
+        self._cols_of = entries
+        self._cols_len = len(entries)
+        return cols
 
 
-@dataclass
-class LeafNode(_SoACacheMixin):
-    """Leaf bucket of dual points (plus an optional overflow chain)."""
+class LeafNode(_LeafEntries):
+    """Leaf bucket of dual points (plus an optional overflow chain).
 
-    level: int
-    v_corner: Tuple[float, ...]
-    p_corner: Tuple[float, ...]
-    entries: List[DualPoint] = field(default_factory=list)
-    overflow: int = INVALID_RID
+    Built from an entry list by the write paths, or from decoded
+    ``columns`` by :meth:`NodeCodec.deserialize`.
+    """
+
+    __slots__ = ("level", "v_corner", "p_corner", "overflow")
+
+    def __init__(self, level: int, v_corner: Tuple[float, ...],
+                 p_corner: Tuple[float, ...],
+                 entries: Optional[List[DualPoint]] = None,
+                 overflow: int = INVALID_RID, *,
+                 columns: Optional[LeafSoA] = None):
+        self.level = level
+        self.v_corner = v_corner
+        self.p_corner = p_corner
+        self.overflow = overflow
+        self._init_entries(entries, columns)
 
     @property
     def is_leaf(self) -> bool:
         return True
 
-    @property
-    def size(self) -> int:
-        """Entries in this record only (not the overflow chain)."""
-        return len(self.entries)
+    def __eq__(self, other):
+        if type(other) is not LeafNode:
+            return NotImplemented
+        return (self.level == other.level
+                and self.v_corner == other.v_corner
+                and self.p_corner == other.p_corner
+                and self.overflow == other.overflow
+                and self.entries == other.entries)
+
+    def __repr__(self) -> str:
+        return (f"LeafNode(level={self.level}, v_corner={self.v_corner}, "
+                f"p_corner={self.p_corner}, size={self.size}, "
+                f"overflow={self.overflow})")
 
 
-@dataclass
-class LeafExtension(_SoACacheMixin):
+class LeafExtension(_LeafEntries):
     """Continuation record of an overflowing maximum-depth leaf."""
 
-    entries: List[DualPoint] = field(default_factory=list)
-    overflow: int = INVALID_RID
+    __slots__ = ("overflow",)
+
+    def __init__(self, entries: Optional[List[DualPoint]] = None,
+                 overflow: int = INVALID_RID, *,
+                 columns: Optional[LeafSoA] = None):
+        self.overflow = overflow
+        self._init_entries(entries, columns)
+
+    def __eq__(self, other):
+        if type(other) is not LeafExtension:
+            return NotImplemented
+        return (self.overflow == other.overflow
+                and self.entries == other.entries)
+
+    def __repr__(self) -> str:
+        return f"LeafExtension(size={self.size}, overflow={self.overflow})"
 
 
 Node = Union[NonLeafNode, LeafNode, LeafExtension]
@@ -183,6 +254,12 @@ class NodeCodec:
         # the leaf/extension capacities, so the memo stays small.
         self._entry_fmt = f"q{2 * d}{coord}"
         self._entry_batch: dict[int, struct.Struct] = {}
+        # Decoding reads the whole entry area with one ``np.frombuffer``
+        # over a structured dtype laid out exactly like ``_entry``.
+        coord_dtype = "<f4" if float32 else "<f8"
+        self._entry_dtype = np.dtype([("oid", "<i8"),
+                                      ("v", coord_dtype, (d,)),
+                                      ("p", coord_dtype, (d,))])
 
     # ------------------------------------------------------------------ #
     # Sizes and capacities
@@ -283,14 +360,15 @@ class NodeCodec:
         # per coordinate in the float32 layout.
         return st.pack(*flat)
 
-    def _unpack_entries(self, raw: bytes, offset: int,
-                        count: int) -> List[DualPoint]:
-        d = self.d
-        end = offset + count * self._entry.size
-        return [
-            DualPoint(parts[0], parts[1: 1 + d], parts[1 + d: 1 + 2 * d])
-            for parts in self._entry.iter_unpack(raw[offset:end])
-        ]
+    def _decode_columns(self, raw: bytes, offset: int,
+                        count: int) -> LeafSoA:
+        rows = np.frombuffer(raw, dtype=self._entry_dtype, count=count,
+                             offset=offset)
+        # Read-only views into the immutable record bytes; the float32
+        # layout widens (exactly) into fresh float64 columns.
+        return LeafSoA(rows["oid"],
+                       rows["v"].astype(np.float64, copy=False),
+                       rows["p"].astype(np.float64, copy=False))
 
     def _serialize_leaf(self, node: LeafNode) -> bytes:
         header = self._leaf_header.pack(
@@ -303,8 +381,9 @@ class NodeCodec:
         _, level, count, overflow = parts[:4]
         v_corner = tuple(parts[4: 4 + self.d])
         p_corner = tuple(parts[4 + self.d: 4 + 2 * self.d])
-        entries = self._unpack_entries(raw, self._leaf_header.size, count)
-        return LeafNode(level, v_corner, p_corner, entries, overflow)
+        columns = self._decode_columns(raw, self._leaf_header.size, count)
+        return LeafNode(level, v_corner, p_corner, overflow=overflow,
+                        columns=columns)
 
     def _serialize_extension(self, node: LeafExtension) -> bytes:
         header = self._ext_header.pack(
@@ -314,5 +393,5 @@ class NodeCodec:
     def _deserialize_extension(self, raw: bytes) -> LeafExtension:
         _, count, overflow = self._ext_header.unpack(
             raw[: self._ext_header.size])
-        entries = self._unpack_entries(raw, self._ext_header.size, count)
-        return LeafExtension(entries, overflow)
+        columns = self._decode_columns(raw, self._ext_header.size, count)
+        return LeafExtension(overflow=overflow, columns=columns)

@@ -41,7 +41,6 @@ from repro.core.nodes import (
     Node,
     NodeCodec,
     NonLeafNode,
-    _build_soa,
 )
 from repro.core.query_region import QueryRegion2D, RelPos
 from repro.obs.tracer import DescentTrace
@@ -60,24 +59,19 @@ more than three scalar descents."""
 class _DeferredSegments:
     """Descent-ordered result accumulator for the vectorized search.
 
-    ``segments`` holds ``(entries, record, lit)`` triples: ``record`` is
-    the leaf-like record owning ``entries`` (its cached SoA view is read
-    at resolve time), or ``None`` for entries delivered without one.
-    ``lit`` marks segments reported wholesale (all-INSIDE subtrees),
-    which pass unconditionally -- they must NOT be re-tested by the
-    kernels, whose answer could differ from the rectangle classification
-    by an ulp at region boundaries.  Duck-types ``extend`` so fallback
-    paths can treat the sink like the scalar path's plain result list.
+    ``segments`` holds ``(columns, record, lit)`` triples: ``columns`` is
+    the :class:`repro.core.nodes.LeafSoA` of the leaf-like ``record``, so
+    collecting a decoded record builds no entry object.  ``lit`` marks
+    segments reported wholesale (all-INSIDE subtrees), which pass
+    unconditionally -- they must NOT be re-tested by the kernels, whose
+    answer could differ from the rectangle classification by an ulp at
+    region boundaries.
     """
 
     __slots__ = ("segments",)
 
     def __init__(self):
         self.segments: List[tuple] = []
-
-    def extend(self, entries) -> None:
-        if entries:
-            self.segments.append((entries, None, True))
 
 
 #: What search paths append results into: a plain list on the scalar and
@@ -246,12 +240,6 @@ class DualQuadTree:
         self.d = space.d
         self.fanout = self.codec.fanout
         self._vectorized = config.vectorized
-        #: SoA column dtype.  Always float64, even for float32 trees:
-        #: float32 coordinates are rounded at transform time, and the
-        #: widening float32 -> float64 conversion is exact, so the wide
-        #: column holds the very same values the scalar path compares --
-        #: while sparing the kernels a per-query upcast copy.
-        self._coord_dtype = np.float64
         # Per-level side-length table, grown lazily: a node's geometry
         # depends only on its level, so the tuples are built once per
         # level instead of once per visit.
@@ -766,6 +754,18 @@ class DualQuadTree:
             rid = ext.overflow
         return entries
 
+    def _chain_size(self, leaf: LeafNode) -> int:
+        """Entries of the leaf including any overflow extensions, counted
+        without building them (same record reads as
+        :meth:`_leaf_all_entries`)."""
+        total = leaf.size
+        rid = leaf.overflow
+        while rid != INVALID_RID:
+            ext = self.cache.get(rid)
+            total += ext.size
+            rid = ext.overflow
+        return total
+
     def _write_leaf_chain(self, rid: int, leaf: LeafNode,
                           entries: List[DualPoint]) -> None:
         """Rewrite the leaf and its overflow chain to hold ``entries``."""
@@ -963,28 +963,20 @@ class DualQuadTree:
         """
         segments = acc.segments
         d = self.d
-        dtype = self._coord_dtype
         results: List[DualPoint] = []
         vs_list = []
         ps_list = []
         offsets = []
         off = 0
-        for entries, rec, lit in segments:
+        for cols, rec, lit in segments:
             if not lit:
                 offsets.append(off)
-                off += len(entries)
-                # soa() unrolled: the view is valid while the record's
-                # entries list is the same object at the same length.
-                if rec._soa_entries is entries and \
-                        rec._soa_len == len(entries):
-                    soa = rec._soa
-                else:
-                    soa = rec.soa(d, dtype)
-                vs_list.append(soa.vs)
-                ps_list.append(soa.ps)
+                off += len(cols)
+                vs_list.append(cols.vs)
+                ps_list.append(cols.ps)
         if not vs_list:
-            for entries, _, _ in segments:
-                results.extend(entries)
+            for _, rec, _ in segments:
+                results.extend(rec.entries)
             return results
         if len(vs_list) == 1:
             vs, ps = vs_list[0], ps_list[0]
@@ -1006,7 +998,8 @@ class DualQuadTree:
         seg_idx = 0
         append = results.append
         extend = results.extend
-        for entries, rec, lit in segments:
+        for _, rec, lit in segments:
+            entries = rec.entries
             if lit:
                 extend(entries)
                 continue
@@ -1059,37 +1052,27 @@ class DualQuadTree:
         """
         segments = acc.segments
         d = self.d
-        dtype = self._coord_dtype
         if not segments:
             return (np.empty(0, dtype=np.int64),
                     np.empty((0, d), dtype=np.float64),
                     np.empty((0, d), dtype=np.float64))
-        soas = []
         lit_ranges = []
         any_pending = False
         off = 0
-        for entries, rec, lit in segments:
-            # soa() unrolled: the view is valid while the record's
-            # entries list is the same object at the same length.
-            if rec is None:
-                soa = _build_soa(entries, d, np.float64)
-            elif rec._soa_entries is entries and \
-                    rec._soa_len == len(entries):
-                soa = rec._soa
-            else:
-                soa = rec.soa(d, dtype)
-            soas.append(soa)
+        for cols, _, lit in segments:
+            n = len(cols)
             if lit:
-                lit_ranges.append((off, off + len(entries)))
+                lit_ranges.append((off, off + n))
             else:
                 any_pending = True
-            off += len(entries)
-        if len(soas) == 1:
-            oids, vs, ps = soas[0].oids, soas[0].vs, soas[0].ps
+            off += n
+        if len(segments) == 1:
+            cols = segments[0][0]
+            oids, vs, ps = cols.oids, cols.vs, cols.ps
         else:
-            oids = np.concatenate([s.oids for s in soas])
-            vs = np.concatenate([s.vs for s in soas])
-            ps = np.concatenate([s.ps for s in soas])
+            oids = np.concatenate([seg[0].oids for seg in segments])
+            vs = np.concatenate([seg[0].vs for seg in segments])
+            ps = np.concatenate([seg[0].ps for seg in segments])
         if not any_pending:
             return oids, vs, ps
         mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
@@ -1110,25 +1093,23 @@ class DualQuadTree:
     #: the threshold is purely a performance knob.
     _BATCH_MIN_ENTRIES = 8
 
-    def _defer_overflow(self, rid: int, segments: List[tuple],
-                        lit: bool = False) -> None:
-        """Append an overflow chain's records as deferred segments."""
-        while rid != INVALID_RID:
-            ext = self.cache.get(rid)
-            if ext.entries:
-                segments.append((ext.entries, ext, lit))
-            rid = ext.overflow
+    def _defer_chain(self, rec, segments: List[tuple],
+                     lit: bool = False) -> None:
+        """Append a leaf record and its overflow chain as deferred
+        segments (columns only: no entry object is built)."""
+        d = self.d
+        while True:
+            segments.append((rec.soa(d), rec, lit))
+            if rec.overflow == INVALID_RID:
+                return
+            rec = self.cache.get(rec.overflow)
 
     def _filter_leaf(self, leaf: LeafNode,
                      regions: Tuple[QueryRegion2D, ...],
                      results: "ResultSink",
                      trace: Optional[DescentTrace] = None) -> None:
         if isinstance(results, _DeferredSegments):
-            segments = results.segments
-            if leaf.entries:
-                segments.append((leaf.entries, leaf, False))
-            if leaf.overflow != INVALID_RID:
-                self._defer_overflow(leaf.overflow, segments)
+            self._defer_chain(leaf, results.segments)
             return
         if trace is not None:
             trace.leaf_visits += 1
@@ -1174,7 +1155,6 @@ class DualQuadTree:
         the scalar path's result order and page-access sequence.
         """
         d = self.d
-        dtype = self._coord_dtype
         scanned = 0
         rec = leaf
         while True:
@@ -1184,7 +1164,7 @@ class DualQuadTree:
             if 0 < n < self._BATCH_MIN_ENTRIES:
                 self._filter_entries_scalar(entries, regions, results)
             elif n:
-                soa = rec.soa(d, dtype)
+                soa = rec.soa(d)
                 vs = soa.vs
                 ps = soa.ps
                 mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
@@ -1251,8 +1231,8 @@ class DualQuadTree:
             frames_move = frames.move_to_end
             iostats = pool.stats
             pool_fetch = pool.fetch
-            segments = (results.segments
-                        if type(results) is _DeferredSegments else None)
+            segments = results.segments
+            d = self.d
             invalid = INVALID_RID
             report_subtree = self._report_subtree
             search_nonleaf = self._search_nonleaf
@@ -1291,17 +1271,15 @@ class DualQuadTree:
                     if not child_is_leaf[idx]:
                         search_nonleaf(child_rid, regions, results,
                                        None, depth1, child)
-                    elif segments is None:
-                        self._filter_leaf(child, regions, results)
+                    elif child.overflow == invalid:
+                        # Inlined deferral for the common overflow-free
+                        # leaf; soa() unrolled for a decoded record,
+                        # whose columns are its only entry state.
+                        segments.append(
+                            (child._cols if child._entries is None
+                             else child.soa(d), child, False))
                     else:
-                        # Inlined deferral for the common
-                        # overflow-free leaf.
-                        entries = child.entries
-                        if entries:
-                            segments.append((entries, child, False))
-                        if child.overflow != invalid:
-                            self._defer_overflow(child.overflow,
-                                                 segments)
+                        self._defer_chain(child, segments)
             return
         if trace is not None:
             trace.nonleaf_visits += 1
@@ -1402,16 +1380,11 @@ class DualQuadTree:
             return sum(1 for e in self._leaf_all_entries(leaf)
                        if self._point_matches(e, regions))
         d = self.d
-        dtype = self._coord_dtype
         total = 0
         rec = leaf
         while True:
-            n = len(rec.entries)
-            if 0 < n < self._BATCH_MIN_ENTRIES:
-                total += sum(1 for e in rec.entries
-                             if self._point_matches(e, regions))
-            elif n:
-                soa = rec.soa(d, dtype)
+            soa = rec.soa(d)
+            if len(soa):
                 mask = regions[0].contains_batch(soa.vs[:, 0], soa.ps[:, 0])
                 for i in range(1, d):
                     mask &= regions[i].contains_batch(soa.vs[:, i],
@@ -1453,7 +1426,7 @@ class DualQuadTree:
             if node.child_is_leaf[idx]:
                 leaf = self.cache.get(child_rid)
                 if all_inside:
-                    total += len(self._leaf_all_entries(leaf))
+                    total += self._chain_size(leaf)
                 else:
                     total += self._count_leaf(leaf, regions)
             elif all_inside:
@@ -1471,12 +1444,7 @@ class DualQuadTree:
             if trace is None:
                 if type(results) is _DeferredSegments:
                     # Lit segments: reported wholesale, never re-tested.
-                    segments = results.segments
-                    if leaf.entries:
-                        segments.append((leaf.entries, leaf, True))
-                    if leaf.overflow != INVALID_RID:
-                        self._defer_overflow(leaf.overflow, segments,
-                                             lit=True)
+                    self._defer_chain(leaf, results.segments, lit=True)
                     return
                 self._leaf_all_entries(leaf, out=results)
                 return
