@@ -111,8 +111,7 @@ class _LeafEntries:
     A decoded record holds only its :class:`LeafSoA` columns, so a query
     over it never builds a :class:`DualPoint`.  The ``entries`` list is
     built from the columns the first time something asks for it (write
-    paths, the generic :meth:`repro.core.quadtree.DualQuadTree.search`,
-    ``check()``, ``==``).  From then on the list is the authority:
+    paths, ``check()``, ``==``).  From then on the list is the authority:
     :meth:`soa` re-derives the columns from it whenever it is no longer
     the *same object* at the *same length* they were derived from --
     every mutation path either replaces the list or appends to it.

@@ -50,33 +50,13 @@ from repro.storage.node_store import (
     RecordStore,
 )
 
-_WRITE_GROUP_MIN = 4
-"""Batch size below which the grouped write descent falls back to the
-scalar per-point path: numpy classification of a 2-3 point group costs
-more than three scalar descents."""
-
-
-class _DeferredSegments:
-    """Descent-ordered result accumulator for the vectorized search.
-
-    ``segments`` holds ``(columns, record, lit)`` triples: ``columns`` is
-    the :class:`repro.core.nodes.LeafSoA` of the leaf-like ``record``, so
-    collecting a decoded record builds no entry object.  ``lit`` marks
-    segments reported wholesale (all-INSIDE subtrees), which pass
-    unconditionally -- they must NOT be re-tested by the kernels, whose
-    answer could differ from the rectangle classification by an ulp at
-    region boundaries.
-    """
-
-    __slots__ = ("segments",)
-
-    def __init__(self):
-        self.segments: List[tuple] = []
-
-
-#: What search paths append results into: a plain list on the scalar and
-#: traced paths, a :class:`_DeferredSegments` on the vectorized path.
-ResultSink = "List[DualPoint] | _DeferredSegments"
+WRITE_BATCH_MIN = 4
+"""Write batches below this size take the per-point path: numpy
+classification and the batch dual transform of a 2-3 point group cost
+more than three single-point descents.  Shared by
+:meth:`DualQuadTree.insert_batch`/:meth:`DualQuadTree.delete_batch`, the
+window groups of :class:`repro.core.stripes.StripesIndex` and the update
+runs of :class:`repro.service.sharding.ShardedStripes`."""
 
 
 @dataclass(frozen=True)
@@ -98,13 +78,6 @@ class QuadTreeConfig:
     the ladder on overflow; only a leaf at the largest size splits.  When
     set, it overrides ``small_leaf_bytes``/``large_leaf_bytes`` and
     ``use_small_leaves``.
-
-    ``vectorized`` routes leaf filtering and counting through the numpy
-    batch kernels (SoA leaf columns +
-    :meth:`repro.core.query_region.QueryRegion2D.contains_batch`).  The
-    kernels return bit-identical results to the scalar per-entry tests;
-    ``vectorized=False`` keeps the pure-Python path (used by the parity
-    suite and as the pre-change benchmark baseline).
     """
 
     small_leaf_bytes: Optional[int] = None
@@ -114,7 +87,6 @@ class QuadTreeConfig:
     use_small_leaves: bool = True
     quad_pruning: bool = True
     leaf_size_ladder: Optional[Tuple[int, ...]] = None
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.leaf_size_ladder is not None:
@@ -239,7 +211,6 @@ class DualQuadTree:
         # Plain attributes (not properties): these sit on query hot paths.
         self.d = space.d
         self.fanout = self.codec.fanout
-        self._vectorized = config.vectorized
         # Per-level side-length table, grown lazily: a node's geometry
         # depends only on its level, so the tuples are built once per
         # level instead of once per visit.
@@ -252,8 +223,7 @@ class DualQuadTree:
             for idx in range(self.fanout))
         # Hoisted hot-path flags: attribute chains cost on every visit.
         self._quad_pruning = config.quad_pruning
-        self._fast_descent = (self.d == 2 and config.vectorized
-                              and config.quad_pruning)
+        self._fast_descent = self.d == 2 and config.quad_pruning
         self.counters = QuadTreeCounters()
         #: Optional :class:`repro.obs.tracer.Tracer`; when set, structural
         #: events (splits, promotions, collapses, spills) are recorded.
@@ -469,7 +439,7 @@ class DualQuadTree:
 
         Instead of one root-to-leaf pass per point, every non-leaf node on
         any insertion path is visited once: the whole group's child quads
-        are classified with one vectorized Eq. 1 evaluation, the group is
+        are classified with one numpy Eq. 1 evaluation, the group is
         partitioned by child, and each destination leaf applies its
         admission / promotion / split / overflow rewrite once per group
         (overfull groups fall back to the bottom-up
@@ -483,13 +453,13 @@ class DualQuadTree:
         boundary in one step.  ``vs``/``ps`` are optional pre-built
         ``(n, d)`` float64 coordinate columns (from
         :meth:`repro.core.dual.DualSpace.to_dual_batch`); they are derived
-        from ``points`` when absent.  In scalar mode
-        (``vectorized=False``) this is exactly the sequential loop.
+        from ``points`` when absent.  Batches below
+        :data:`WRITE_BATCH_MIN` take the sequential loop.
         """
         n = len(points)
         if n == 0:
             return
-        if not self._vectorized or n < _WRITE_GROUP_MIN:
+        if n < WRITE_BATCH_MIN:
             for point in points:
                 self.insert(point)
             return
@@ -514,7 +484,7 @@ class DualQuadTree:
         pairs where ``rows`` selects the group's points landing in that
         child quad.  Comparisons are the same float64 ``>=`` tests as
         :meth:`_child_index`, so every point lands exactly where the
-        scalar descent would put it."""
+        single-point descent would put it."""
         sl_v, sl_p = self._child_sides(node.level + 1)
         codes = np.zeros(vs.shape[0], dtype=np.int64)
         for i in range(self.d):
@@ -585,8 +555,9 @@ class DualQuadTree:
         if leaf.level >= self.config.max_depth:
             if self.store.record_size_of(rid) != self.large_bytes:
                 # A group can overshoot every ladder rung at once; the
-                # chain head must live in a top-rung record (the scalar
-                # path reaches chains only via top-rung leaves).
+                # chain head must live in a top-rung record (the
+                # single-point path reaches chains only via top-rung
+                # leaves).
                 fresh = self._new_leaf(leaf.level, leaf.v_corner,
                                        leaf.p_corner, [])
                 fresh.overflow = leaf.overflow
@@ -627,7 +598,7 @@ class DualQuadTree:
         flags = [False] * n
         if n == 0:
             return flags
-        if not self._vectorized or n < _WRITE_GROUP_MIN:
+        if n < WRITE_BATCH_MIN:
             return [self.delete(point) for point in points]
         self.counters.deletes += n
         if vs is None or ps is None:
@@ -742,8 +713,8 @@ class DualQuadTree:
 
         ``out`` appends into the caller's accumulator instead of building
         (and having the caller re-copy) an intermediate list per record --
-        the bulk-collection paths (:meth:`all_entries`, subtree collapses,
-        whole-subtree reporting) pass one shared buffer down the walk.
+        the bulk-collection paths (:meth:`all_entries`, subtree collapses)
+        pass one shared buffer down the walk.
         """
         entries = out if out is not None else []
         entries.extend(leaf.entries)
@@ -911,146 +882,62 @@ class DualQuadTree:
     # Search (Section 4.6.4)
     # ------------------------------------------------------------------ #
 
-    def search(self, regions: Tuple[QueryRegion2D, ...],
-               trace: Optional[DescentTrace] = None) -> List[DualPoint]:
-        """Entries inside the query body given one region per dual plane.
-
-        Per-plane region membership is exact per dimension but -- for
-        window/moving queries in d >= 2 -- only *necessary* for a true
-        match (each dimension may satisfy the query at a different time).
-        Callers needing exact answers refine the returned candidates with
-        the native-space predicate; :class:`repro.core.stripes.StripesIndex`
-        does this by default.
-
-        ``trace`` (a :class:`repro.obs.tracer.DescentTrace`) records the
-        descent -- nodes visited, per-quad INSIDE/OVERLAP/DISJUNCT
-        classifications, entries scanned -- at a small per-node cost; the
-        default ``None`` leaves the hot path untouched.
-        """
-        if len(regions) != self.d:
-            raise ValueError(
-                f"expected {self.d} query regions, got {len(regions)}")
-        self.counters.searches += 1
-        if self._vectorized and trace is None:
-            # Deferred filtering: the descent only *collects* leaf-record
-            # SoA segments (plus wholesale INSIDE reports); the membership
-            # kernels then run once over the concatenated columns.  Leaf
-            # records average a few dozen entries, far too small to
-            # amortize per-call numpy overhead record by record.
-            acc = _DeferredSegments()
-            if self._root_is_leaf:
-                self._filter_leaf(self.cache.get(self._root_rid), regions,
-                                  acc)
-            else:
-                self._search_nonleaf(self._root_rid, regions, acc)
-            return self._resolve_segments(regions, acc)
-        results: List[DualPoint] = []
-        if self._root_is_leaf:
-            leaf = self.cache.get(self._root_rid)
-            self._filter_leaf(leaf, regions, results, trace)
-        else:
-            self._search_nonleaf(self._root_rid, regions, results, trace, 0)
-        return results
-
-    def _resolve_segments(self, regions: Tuple[QueryRegion2D, ...],
-                          acc: "_DeferredSegments") -> List[DualPoint]:
-        """Filter the collected segments in one vectorized pass.
-
-        Segment order is descent order, so the returned list is element-
-        for-element identical to the scalar path's; the kernels compute
-        per lane, so concatenating records changes nothing about any
-        lane's arithmetic.
-        """
-        segments = acc.segments
-        d = self.d
-        results: List[DualPoint] = []
-        vs_list = []
-        ps_list = []
-        offsets = []
-        off = 0
-        for cols, rec, lit in segments:
-            if not lit:
-                offsets.append(off)
-                off += len(cols)
-                vs_list.append(cols.vs)
-                ps_list.append(cols.ps)
-        if not vs_list:
-            for _, rec, _ in segments:
-                results.extend(rec.entries)
-            return results
-        if len(vs_list) == 1:
-            vs, ps = vs_list[0], ps_list[0]
-        else:
-            vs = np.concatenate(vs_list)
-            ps = np.concatenate(ps_list)
-        mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
-        for i in range(1, d):
-            mask &= regions[i].contains_batch(vs[:, i], ps[:, i])
-        # One global hit list over the concatenated columns.  Lit
-        # (all-INSIDE) segments interleave in descent order, so the hit
-        # list is split at each pending segment's start offset and each
-        # global index mapped back into its segment's entry list --
-        # never materialising a flattened candidate list.
-        hits = np.nonzero(mask)[0]
-        offsets.append(off)
-        bounds = np.searchsorted(hits, np.asarray(offsets)).tolist()
-        hits_l = hits.tolist()
-        seg_idx = 0
-        append = results.append
-        extend = results.extend
-        for _, rec, lit in segments:
-            entries = rec.entries
-            if lit:
-                extend(entries)
-                continue
-            lo = bounds[seg_idx]
-            hi = bounds[seg_idx + 1]
-            base = offsets[seg_idx]
-            seg_idx += 1
-            if lo == hi:
-                continue
-            if hi - lo == len(entries):
-                extend(entries)
-            else:
-                for j in hits_l[lo:hi]:
-                    append(entries[j - base])
-        return results
-
-    def search_columns(self, regions: Tuple[QueryRegion2D, ...]
+    def search_columns(self, regions: Tuple[QueryRegion2D, ...],
+                       trace: Optional[DescentTrace] = None
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Matching entries as ``(oids, vs, ps)`` numpy columns.
+        """Entries inside the query body as ``(oids, vs, ps)`` columns.
 
-        Column-typed variant of :meth:`search` for the vectorized hot
-        path: the same descent, the same membership kernels, and the
-        same descent-ordered answer -- but candidates never leave SoA
-        form, so the caller's refinement step (the exact common-instant
-        check in :class:`repro.core.stripes`) can run directly on the
-        returned columns without rebuilding arrays from
-        :class:`DualPoint` objects.  Row ``k`` of each column describes
-        the ``k``-th entry :meth:`search` would return.
+        Row ``k`` of each column describes the ``k``-th matching entry in
+        descent order: children in Eq. 1 index order, overflow chains in
+        chain order.  Per-plane region membership is exact per dimension
+        but -- for window/moving queries in d >= 2 -- only *necessary* for
+        a true match (each dimension may satisfy the query at a different
+        time); :class:`repro.core.stripes.StripesIndex` refines the rows
+        with the exact common-instant predicate.
+
+        The descent only *collects* leaf records as deferred
+        ``(columns, record, lit)`` segments, so reading a decoded record
+        builds no entry object; the membership kernels then run once over
+        the concatenated columns (leaf records average a few dozen
+        entries, far too few to amortize a numpy call each).
+
+        ``trace`` (a :class:`repro.obs.tracer.DescentTrace`) counts this
+        same descent: each non-leaf visit counts its quads and children
+        from the classifications the descent computed anyway, and the
+        leaf counters are read off the collected segments afterwards.
+        The default ``None`` costs one test per non-leaf visit.
         """
         if len(regions) != self.d:
             raise ValueError(
                 f"expected {self.d} query regions, got {len(regions)}")
         self.counters.searches += 1
-        acc = _DeferredSegments()
+        segments: List[tuple] = []
         if self._root_is_leaf:
-            self._filter_leaf(self.cache.get(self._root_rid), regions, acc)
+            self._defer_chain(self.cache.get(self._root_rid), segments)
         else:
-            self._search_nonleaf(self._root_rid, regions, acc)
-        return self._resolve_columns(regions, acc)
+            self._search_nonleaf(self._root_rid, regions, segments, trace)
+        columns = self._resolve_columns(regions, segments)
+        if trace is not None:
+            for cols, rec, lit in segments:
+                if type(rec) is LeafNode:
+                    trace.leaf_visits += 1
+                if lit:
+                    trace.entries_reported += len(cols)
+                else:
+                    trace.entries_scanned += len(cols)
+            trace.candidates += len(columns[0])
+        return columns
 
     def _resolve_columns(self, regions: Tuple[QueryRegion2D, ...],
-                         acc: "_DeferredSegments"
+                         segments: List[tuple]
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Kernel pass over the collected segments, staying columnar.
 
         Lit (all-INSIDE) rows bypass the kernels by forcing their mask
-        range to True: re-testing them could disagree with the rectangle
-        classification by an ulp at region boundaries, and the scalar
-        path never tests them either.
+        range to True: they are reported on the subtree's rectangle
+        classification, and re-testing them could disagree with it by an
+        ulp at region boundaries.
         """
-        segments = acc.segments
         d = self.d
         if not segments:
             return (np.empty(0, dtype=np.int64),
@@ -1075,23 +962,19 @@ class DualQuadTree:
             ps = np.concatenate([seg[0].ps for seg in segments])
         if not any_pending:
             return oids, vs, ps
-        mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
-        for i in range(1, d):
-            mask &= regions[i].contains_batch(vs[:, i], ps[:, i])
+        mask = self._region_mask(regions, vs, ps)
         for lo, hi in lit_ranges:
             mask[lo:hi] = True
         return oids[mask], vs[mask], ps[mask]
 
-    def _point_matches(self, entry: DualPoint,
-                       regions: Tuple[QueryRegion2D, ...]) -> bool:
-        return all(regions[i].contains_point(entry.v[i], entry.p[i])
-                   for i in range(self.d))
-
-    #: Leaf records below this many entries are filtered by the scalar
-    #: loop even in vectorized mode: numpy call overhead exceeds the
-    #: per-entry test for very small batches.  Both paths are exact, so
-    #: the threshold is purely a performance knob.
-    _BATCH_MIN_ENTRIES = 8
+    def _region_mask(self, regions: Tuple[QueryRegion2D, ...],
+                     vs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        """The leaf filter: per-row membership in every plane's region
+        (lane for lane identical to ``contains_point``)."""
+        mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
+        for i in range(1, self.d):
+            mask &= regions[i].contains_batch(vs[:, i], ps[:, i])
+        return mask
 
     def _defer_chain(self, rec, segments: List[tuple],
                      lit: bool = False) -> None:
@@ -1104,88 +987,77 @@ class DualQuadTree:
                 return
             rec = self.cache.get(rec.overflow)
 
-    def _filter_leaf(self, leaf: LeafNode,
-                     regions: Tuple[QueryRegion2D, ...],
-                     results: "ResultSink",
-                     trace: Optional[DescentTrace] = None) -> None:
-        if isinstance(results, _DeferredSegments):
-            self._defer_chain(leaf, results.segments)
-            return
-        if trace is not None:
-            trace.leaf_visits += 1
-            before = len(results)
-        if self._vectorized:
-            scanned = self._filter_leaf_batch(leaf, regions, results)
-        else:
-            entries = self._leaf_all_entries(leaf)
-            scanned = len(entries)
-            self._filter_entries_scalar(entries, regions, results)
-        if trace is not None:
-            trace.entries_scanned += scanned
-            trace.candidates += len(results) - before
+    def _plane_rels(self, node: NonLeafNode,
+                    regions: Tuple[QueryRegion2D, ...],
+                    sl_v: Tuple[float, ...],
+                    sl_p: Tuple[float, ...]) -> list:
+        """Classify each plane's four child quads once (Section 4.6.4):
+        the shared-corner batch call evaluates each boundary point once,
+        and each child then just combines its per-plane codes."""
+        plane_rel = []
+        for i in range(self.d):
+            v_mid = node.v_corner[i] + sl_v[i]
+            p_mid = node.p_corner[i] + sl_p[i]
+            plane_rel.append(regions[i].classify_quads(
+                node.v_corner[i], v_mid, v_mid + sl_v[i],
+                node.p_corner[i], p_mid, p_mid + sl_p[i]))
+        return plane_rel
 
-    def _filter_entries_scalar(self, entries: List[DualPoint],
-                               regions: Tuple[QueryRegion2D, ...],
-                               results: List[DualPoint]) -> None:
-        if self.d == 2:
-            # Hand-unrolled two-dimensional path: this loop runs once per
-            # candidate entry and dominates query CPU time when the batch
-            # kernels are disabled.
-            r0, r1 = regions
-            append = results.append
-            for entry in entries:
-                v = entry.v
-                p = entry.p
-                if (r0.contains_point(v[0], p[0])
-                        and r1.contains_point(v[1], p[1])):
-                    append(entry)
-        else:
-            for entry in entries:
-                if self._point_matches(entry, regions):
-                    results.append(entry)
+    def _child_rels(self, node: NonLeafNode,
+                    plane_rel) -> List[Tuple[int, RelPos]]:
+        """``(idx, rel)`` per present child, combining its per-plane quad
+        classes: DISJUNCT if any plane's is, INSIDE if every plane's is,
+        OVERLAP otherwise."""
+        disjunct = RelPos.DISJUNCT
+        inside = RelPos.INSIDE
+        child_codes = self._child_codes
+        out = []
+        for idx in node.present_children():
+            rel = inside
+            for i, code in enumerate(child_codes[idx]):
+                plane = plane_rel[i][code]
+                if plane is disjunct:
+                    rel = disjunct
+                    break
+                if plane is not inside:
+                    rel = RelPos.OVERLAP
+            out.append((idx, rel))
+        return out
 
-    def _filter_leaf_batch(self, leaf: LeafNode,
-                           regions: Tuple[QueryRegion2D, ...],
-                           results: List[DualPoint]) -> int:
-        """Vectorized leaf filter: one half-plane/polyline kernel per dual
-        plane over the leaf's SoA columns, then a single mask reduction.
-
-        Returns the number of entries scanned.  Overflow-chain records are
-        filtered record by record (each has its own SoA view), preserving
-        the scalar path's result order and page-access sequence.
-        """
-        d = self.d
-        scanned = 0
-        rec = leaf
-        while True:
-            entries = rec.entries
-            n = len(entries)
-            scanned += n
-            if 0 < n < self._BATCH_MIN_ENTRIES:
-                self._filter_entries_scalar(entries, regions, results)
-            elif n:
-                soa = rec.soa(d)
-                vs = soa.vs
-                ps = soa.ps
-                mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
-                for i in range(1, d):
-                    mask &= regions[i].contains_batch(vs[:, i], ps[:, i])
-                hits = np.nonzero(mask)[0]
-                if hits.size == n:
-                    results.extend(entries)
-                elif hits.size:
-                    results.extend([entries[j] for j in hits])
-            nxt = rec.overflow
-            if nxt == INVALID_RID:
-                return scanned
-            rec = self.cache.get(nxt)
+    @staticmethod
+    def _trace_nonleaf(trace: DescentTrace, node: NonLeafNode, depth: int,
+                       quad_rels, child_rels) -> None:
+        """Count one non-leaf visit: every quad classification the visit
+        made (``quad_rels``, a sequence of sequences) and each present
+        child's outcome.  Leaf children filtered one level down raise the
+        maximum depth; reported subtrees do not."""
+        trace.nonleaf_visits += 1
+        if depth > trace.max_depth:
+            trace.max_depth = depth
+        for quads in quad_rels:
+            for rel in quads:
+                if rel is RelPos.INSIDE:
+                    trace.quads_inside += 1
+                elif rel is RelPos.DISJUNCT:
+                    trace.quads_disjunct += 1
+                else:
+                    trace.quads_overlap += 1
+        for idx, rel in child_rels:
+            if rel is RelPos.DISJUNCT:
+                trace.children_pruned += 1
+            elif rel is RelPos.INSIDE:
+                trace.children_reported += 1
+            else:
+                trace.children_recursed += 1
+                if node.child_is_leaf[idx] and depth + 1 > trace.max_depth:
+                    trace.max_depth = depth + 1
 
     def _search_nonleaf(self, rid: int, regions: Tuple[QueryRegion2D, ...],
-                        results: List[DualPoint],
-                        trace: Optional[DescentTrace] = None,
+                        segments: List[tuple],
+                        trace: Optional[DescentTrace],
                         depth: int = 0,
                         node: Optional[NonLeafNode] = None) -> None:
-        # ``node`` is passed by the vectorized fast path below, which
+        # ``node`` is passed by the two-dimensional loop below, which
         # already fetched (and IO-accounted) the child before recursing.
         if node is None:
             node = self.cache.get(rid)
@@ -1193,17 +1065,13 @@ class DualQuadTree:
         sides = self._sides_table
         sl_v, sl_p = (sides[level1] if level1 < len(sides)
                       else self._child_sides(level1))
-        if trace is None and self._fast_descent:
-            # Untraced two-dimensional fast path: classify each plane's
-            # four quads once (Section 4.6.4), then iterate per-plane
-            # codes instead of flat child indexes, so one DISJUNCT
-            # plane-1 code skips its whole block of four children.
-            # Child index (c1 << 2) | c0 ascends with the loops, so
-            # visit order -- and therefore result order -- matches the
-            # generic loop below exactly.  Gated on the vectorized flag
-            # so ``vectorized=False`` stays the plain, obviously-correct
-            # reference descent that the parity suite and the
-            # before/after bench compare against.
+        if self._fast_descent:
+            # Two-dimensional loop: classify each plane's four quads once
+            # (Section 4.6.4), then iterate per-plane codes instead of
+            # flat child indexes, so one DISJUNCT plane-1 code skips its
+            # whole block of four children.  Child index (c1 << 2) | c0
+            # ascends with the loops, so visit order -- and therefore
+            # result order -- matches the generic loop below exactly.
             vc = node.v_corner
             pc = node.p_corner
             r0q, r1q = regions
@@ -1215,15 +1083,18 @@ class DualQuadTree:
             p_mid = pc[1] + sl_p[1]
             rel1 = r1q.classify_quads(vc[1], v_mid, v_mid + sl_v[1],
                                       pc[1], p_mid, p_mid + sl_p[1])
+            if trace is not None:
+                self._trace_nonleaf(trace, node, depth, (rel0, rel1),
+                                    self._child_rels(node, (rel0, rel1)))
             children = node.children
             child_is_leaf = node.child_is_leaf
             disjunct = RelPos.DISJUNCT
             inside = RelPos.INSIDE
             cache = self.cache
             cache_get = cache.get
-            # The leaf-child lookup below is cache.get unrolled into
-            # the loop: generation-checked object-cache probe, page
-            # touch for identical IO accounting, decode only on miss.
+            # The child lookup below is cache.get unrolled into the loop:
+            # generation-checked object-cache probe, page touch for
+            # identical IO accounting, decode only on miss.
             objects = cache._objects
             gens = cache.store._record_gen
             pool = cache.store.pool
@@ -1231,7 +1102,6 @@ class DualQuadTree:
             frames_move = frames.move_to_end
             iostats = pool.stats
             pool_fetch = pool.fetch
-            segments = results.segments
             d = self.d
             invalid = INVALID_RID
             report_subtree = self._report_subtree
@@ -1251,7 +1121,7 @@ class DualQuadTree:
                         continue
                     if r0 is inside and r1 is inside:
                         report_subtree(child_rid, child_is_leaf[idx],
-                                       results)
+                                       segments, trace)
                         continue
                     entry = objects.get(child_rid)
                     if entry is not None and \
@@ -1269,8 +1139,8 @@ class DualQuadTree:
                     else:
                         child = cache_get(child_rid)
                     if not child_is_leaf[idx]:
-                        search_nonleaf(child_rid, regions, results,
-                                       None, depth1, child)
+                        search_nonleaf(child_rid, regions, segments,
+                                       trace, depth1, child)
                     elif child.overflow == invalid:
                         # Inlined deferral for the common overflow-free
                         # leaf; soa() unrolled for a decoded record,
@@ -1281,89 +1151,70 @@ class DualQuadTree:
                     else:
                         self._defer_chain(child, segments)
             return
-        if trace is not None:
-            trace.nonleaf_visits += 1
-            if depth > trace.max_depth:
-                trace.max_depth = depth
         if self._quad_pruning:
-            # Classify each plane's four quads once (Section 4.6.4); the
-            # shared-corner batch call evaluates each boundary point once
-            # and each child then just combines its per-plane codes.
-            plane_rel = []
-            for i in range(self.d):
-                v_mid = node.v_corner[i] + sl_v[i]
-                p_mid = node.p_corner[i] + sl_p[i]
-                plane_rel.append(regions[i].classify_quads(
-                    node.v_corner[i], v_mid, v_mid + sl_v[i],
-                    node.p_corner[i], p_mid, p_mid + sl_p[i]))
-            if trace is not None:
-                for quads in plane_rel:
-                    for rel in quads:
-                        if rel is RelPos.INSIDE:
-                            trace.quads_inside += 1
-                        elif rel is RelPos.DISJUNCT:
-                            trace.quads_disjunct += 1
-                        else:
-                            trace.quads_overlap += 1
-        child_codes = self._child_codes
-        for idx in range(self.fanout):
-            child_rid = node.children[idx]
-            if child_rid == INVALID_RID:
-                continue
-            disjunct = False
-            all_inside = True
-            for i in range(self.d):
-                code = child_codes[idx][i]
-                if self.config.quad_pruning:
-                    rel = plane_rel[i][code]
-                else:
+            plane_rel = self._plane_rels(node, regions, sl_v, sl_p)
+            child_rels = self._child_rels(node, plane_rel)
+        else:
+            # Ablation A2: classify each child's rectangle per plane on
+            # its own, stopping at the first DISJUNCT plane.
+            classified = []
+            child_rels = []
+            child_codes = self._child_codes
+            for idx in node.present_children():
+                rel = RelPos.INSIDE
+                for i, code in enumerate(child_codes[idx]):
                     v1 = node.v_corner[i] + (code & 1) * sl_v[i]
                     p1 = node.p_corner[i] + ((code >> 1) & 1) * sl_p[i]
-                    rel = regions[i].classify_rect(
+                    plane = regions[i].classify_rect(
                         v1, v1 + sl_v[i], p1, p1 + sl_p[i])
-                    if trace is not None:
-                        if rel is RelPos.INSIDE:
-                            trace.quads_inside += 1
-                        elif rel is RelPos.DISJUNCT:
-                            trace.quads_disjunct += 1
-                        else:
-                            trace.quads_overlap += 1
-                if rel is RelPos.DISJUNCT:
-                    disjunct = True
-                    break
-                if rel is not RelPos.INSIDE:
-                    all_inside = False
-            if disjunct:
-                if trace is not None:
-                    trace.children_pruned += 1
+                    classified.append(plane)
+                    if plane is RelPos.DISJUNCT:
+                        rel = plane
+                        break
+                    if plane is not RelPos.INSIDE:
+                        rel = RelPos.OVERLAP
+                child_rels.append((idx, rel))
+            plane_rel = (classified,)
+        if trace is not None:
+            self._trace_nonleaf(trace, node, depth, plane_rel, child_rels)
+        for idx, rel in child_rels:
+            if rel is RelPos.DISJUNCT:
                 continue
-            if all_inside:
-                if trace is not None:
-                    trace.children_reported += 1
+            child_rid = node.children[idx]
+            if rel is RelPos.INSIDE:
                 self._report_subtree(child_rid, node.child_is_leaf[idx],
-                                     results, trace)
+                                     segments, trace)
             elif node.child_is_leaf[idx]:
-                leaf = self.cache.get(child_rid)
-                if trace is not None:
-                    trace.children_recursed += 1
-                    if depth + 1 > trace.max_depth:
-                        trace.max_depth = depth + 1
-                self._filter_leaf(leaf, regions, results, trace)
+                self._defer_chain(self.cache.get(child_rid), segments)
             else:
-                if trace is not None:
-                    trace.children_recursed += 1
-                self._search_nonleaf(child_rid, regions, results, trace,
+                self._search_nonleaf(child_rid, regions, segments, trace,
                                      depth + 1)
+
+    def _report_subtree(self, rid: int, is_leaf: bool,
+                        segments: List[tuple],
+                        trace: Optional[DescentTrace] = None) -> None:
+        """Defer every record of an all-INSIDE subtree as a lit segment:
+        reported wholesale, never re-tested."""
+        if is_leaf:
+            self._defer_chain(self.cache.get(rid), segments, lit=True)
+            return
+        node = self.cache.get(rid)
+        if trace is not None:
+            trace.nonleaf_visits += 1
+        for idx in node.present_children():
+            self._report_subtree(node.children[idx], node.child_is_leaf[idx],
+                                 segments, trace)
 
     def count_in_regions(self, regions: Tuple[QueryRegion2D, ...]) -> int:
         """Number of entries inside the query body.
 
-        Unlike :meth:`search`, subtrees classified INSIDE contribute their
-        stored ``size`` counter (Section 4.2) without reading a single
-        leaf page -- the aggregate-query payoff of keeping sizes in
-        non-leaf nodes.  Exact for time-slice query regions; for
-        window/moving queries the result counts region candidates (a
-        superset of true matches, see :meth:`search`).
+        Unlike :meth:`search_columns`, subtrees classified INSIDE
+        contribute their stored ``size`` counter (Section 4.2) without
+        reading a single leaf page -- the aggregate-query payoff of
+        keeping sizes in non-leaf nodes.  Exact for time-slice query
+        regions; for window/moving queries the result counts region
+        candidates (a superset of true matches, see
+        :meth:`search_columns`).
         """
         if len(regions) != self.d:
             raise ValueError(
@@ -1376,20 +1227,14 @@ class DualQuadTree:
     def _count_leaf(self, leaf: LeafNode,
                     regions: Tuple[QueryRegion2D, ...]) -> int:
         """Matching entries in a leaf (and its overflow chain)."""
-        if not self._vectorized:
-            return sum(1 for e in self._leaf_all_entries(leaf)
-                       if self._point_matches(e, regions))
         d = self.d
         total = 0
         rec = leaf
         while True:
             soa = rec.soa(d)
             if len(soa):
-                mask = regions[0].contains_batch(soa.vs[:, 0], soa.ps[:, 0])
-                for i in range(1, d):
-                    mask &= regions[i].contains_batch(soa.vs[:, i],
-                                                      soa.ps[:, i])
-                total += int(np.count_nonzero(mask))
+                total += int(np.count_nonzero(
+                    self._region_mask(regions, soa.vs, soa.ps)))
             nxt = rec.overflow
             if nxt == INVALID_RID:
                 return total
@@ -1399,69 +1244,24 @@ class DualQuadTree:
                        regions: Tuple[QueryRegion2D, ...]) -> int:
         node = self.cache.get(rid)
         sl_v, sl_p = self._child_sides(node.level + 1)
-        plane_rel = []
-        for i in range(self.d):
-            v_mid = node.v_corner[i] + sl_v[i]
-            p_mid = node.p_corner[i] + sl_p[i]
-            plane_rel.append(regions[i].classify_quads(
-                node.v_corner[i], v_mid, v_mid + sl_v[i],
-                node.p_corner[i], p_mid, p_mid + sl_p[i]))
+        plane_rel = self._plane_rels(node, regions, sl_v, sl_p)
         total = 0
-        child_codes = self._child_codes
-        for idx in range(self.fanout):
+        for idx, rel in self._child_rels(node, plane_rel):
+            if rel is RelPos.DISJUNCT:
+                continue
             child_rid = node.children[idx]
-            if child_rid == INVALID_RID:
-                continue
-            disjunct = False
-            all_inside = True
-            for i in range(self.d):
-                rel = plane_rel[i][child_codes[idx][i]]
-                if rel is RelPos.DISJUNCT:
-                    disjunct = True
-                    break
-                if rel is not RelPos.INSIDE:
-                    all_inside = False
-            if disjunct:
-                continue
             if node.child_is_leaf[idx]:
                 leaf = self.cache.get(child_rid)
-                if all_inside:
+                if rel is RelPos.INSIDE:
                     total += self._chain_size(leaf)
                 else:
                     total += self._count_leaf(leaf, regions)
-            elif all_inside:
+            elif rel is RelPos.INSIDE:
                 # The stored subtree size: no leaf pages are read.
                 total += self.cache.get(child_rid).size
             else:
                 total += self._count_nonleaf(child_rid, regions)
         return total
-
-    def _report_subtree(self, rid: int, is_leaf: bool,
-                        results: List[DualPoint],
-                        trace: Optional[DescentTrace] = None) -> None:
-        if is_leaf:
-            leaf = self.cache.get(rid)
-            if trace is None:
-                if type(results) is _DeferredSegments:
-                    # Lit segments: reported wholesale, never re-tested.
-                    self._defer_chain(leaf, results.segments, lit=True)
-                    return
-                self._leaf_all_entries(leaf, out=results)
-                return
-            before = len(results)
-            self._leaf_all_entries(leaf, out=results)
-            # Reported wholesale (all-INSIDE): entries become candidates
-            # without any per-entry geometry test.
-            trace.leaf_visits += 1
-            trace.entries_reported += len(results) - before
-            trace.candidates += len(results) - before
-            return
-        node = self.cache.get(rid)
-        if trace is not None:
-            trace.nonleaf_visits += 1
-        for idx in node.present_children():
-            self._report_subtree(node.children[idx], node.child_is_leaf[idx],
-                                 results, trace)
 
     # ------------------------------------------------------------------ #
     # Bulk access, teardown, statistics

@@ -46,6 +46,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, Sequence
 
+from repro.core.quadtree import WRITE_BATCH_MIN
 from repro.core.stripes import StripesConfig, StripesIndex, _net_update_runs
 from repro.query.types import MovingObjectState, PredictiveQuery
 from repro.service.engine import CompiledBatch, ShardMirror, evaluate_batch
@@ -429,10 +430,6 @@ class ShardedStripes:
             removed += self._apply_update_run(run) + credit
         return removed
 
-    #: Runs below this size take the per-pair path (mirrors
-    #: ``StripesIndex._WRITE_BATCH_MIN``).
-    _UPDATE_RUN_MIN = 4
-
     def _apply_update_run(self, pairs: List[Tuple[
             Optional[MovingObjectState], MovingObjectState, int]]) -> int:
         """Apply one conflict-free run of ``(old, new, delete_window)``
@@ -443,7 +440,7 @@ class ShardedStripes:
         removed-count undercount comes from."""
         if not pairs:
             return 0
-        if len(pairs) < self._UPDATE_RUN_MIN:
+        if len(pairs) < WRITE_BATCH_MIN:
             removed = 0
             for old, new, _ in pairs:
                 if self.update(old, new):

@@ -16,6 +16,8 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.node_store import RecordStore
 from repro.storage.pagefile import InMemoryPageFile
 
+from tests.reference_search import checked_search
+
 SPACE = DualSpace(vmax=(3.0, 3.0), pmax=(100.0, 100.0), lifetime=10.0)
 # Velocity extent (6, 6); position extent (160, 160).
 
@@ -233,8 +235,8 @@ class TestSearch:
             tree.insert(random_point(rng, oid))
         # A query region covering the whole space at t = t_ref.
         query = TimeSliceQuery((-1000.0, -1000.0), (1000.0, 1000.0), 0.0)
-        found = tree.search(self.regions_for(query))
-        assert len(found) == 500
+        found = checked_search(tree, self.regions_for(query))
+        assert sorted(found) == list(range(500))
 
     def test_search_empty_region(self):
         tree = make_tree()
@@ -242,12 +244,12 @@ class TestSearch:
         for oid in range(200):
             tree.insert(random_point(rng, oid))
         query = TimeSliceQuery((-500.0, -500.0), (-400.0, -400.0), 0.0)
-        assert tree.search(self.regions_for(query)) == []
+        assert checked_search(tree, self.regions_for(query)) == []
 
     def test_wrong_region_count_rejected(self):
         tree = make_tree()
         with pytest.raises(ValueError, match="query regions"):
-            tree.search(())
+            tree.search_columns(())
 
     def test_pruning_and_unpruned_agree(self):
         rng = random.Random(9)
@@ -262,8 +264,8 @@ class TestSearch:
             query = WindowQuery((x, x), (x + 10, x + 10),
                                 rng.uniform(0, 5), rng.uniform(5, 15))
             regions = self.regions_for(query)
-            assert sorted(pruned.search(regions)) \
-                == sorted(plain.search(regions))
+            assert checked_search(pruned, regions) \
+                == checked_search(plain, regions)
 
 
 class TestDestroyAndStats:
@@ -329,7 +331,7 @@ class TestSearchExactness:
                 p.oid for p in points
                 if all(regions[i].contains_point(p.v[i], p.p[i])
                        for i in range(2)))
-            got = sorted(e.oid for e in tree.search(regions))
+            got = sorted(checked_search(tree, regions))
             assert got == expected
 
 

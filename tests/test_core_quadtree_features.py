@@ -21,6 +21,8 @@ from repro.storage.node_store import RecordStore
 from repro.storage.pagefile import InMemoryPageFile
 from repro.storage.page import PAGE_SIZE
 
+from tests.reference_search import checked_search
+
 SPACE = DualSpace(vmax=(3.0, 3.0), pmax=(100.0, 100.0), lifetime=10.0)
 LADDER = (505, 1011, 2045, PAGE_SIZE - 5)  # 1/8, 1/4, 1/2, full page
 
@@ -83,8 +85,8 @@ class TestLeafSizeLadder:
                                 rng.uniform(0, 5), rng.uniform(5, 15))
             regions = build_query_regions(query.as_moving(), SPACE.vmax,
                                           SPACE.lifetime, 0.0)
-            assert sorted(e.oid for e in ladder_tree.search(regions)) \
-                == sorted(e.oid for e in plain_tree.search(regions))
+            assert sorted(checked_search(ladder_tree, regions)) \
+                == sorted(checked_search(plain_tree, regions))
         # Deletes work across rungs.
         rng.shuffle(points)
         for point in points:
@@ -122,7 +124,7 @@ class TestCountQueries:
                                    rng.uniform(0, 15))
             regions = self.regions_for(query)
             assert tree.count_in_regions(regions) \
-                == len(tree.search(regions))
+                == len(checked_search(tree, regions))
 
     def test_count_whole_space_reads_no_leaves(self):
         # Tiny leaves force height >= 3 so INSIDE non-leaf children exist;
@@ -138,7 +140,7 @@ class TestCountQueries:
         assert tree.count_in_regions(regions) == 1000
         count_reads = tree.store.pool.stats.logical_reads - logical_before
         logical_before = tree.store.pool.stats.logical_reads
-        assert len(tree.search(regions)) == 1000
+        assert len(tree.search_columns(regions)[0]) == 1000
         search_reads = tree.store.pool.stats.logical_reads - logical_before
         # Counting everything touches only the upper levels.
         assert count_reads < search_reads / 3
@@ -194,8 +196,8 @@ class TestBulkLoad:
                                    rng.uniform(0, 15))
             regions = build_query_regions(query.as_moving(), SPACE.vmax,
                                           SPACE.lifetime, 0.0)
-            assert sorted(e.oid for e in loaded.search(regions)) \
-                == sorted(e.oid for e in inserted.search(regions))
+            assert sorted(checked_search(loaded, regions)) \
+                == sorted(checked_search(inserted, regions))
 
     def test_bulk_load_requires_empty_tree(self):
         tree = make_tree()

@@ -5,8 +5,8 @@ one ``np.frombuffer`` over the entry area.  :func:`reference_unpack_entries`
 is the per-entry ``struct`` decoder those records used to go through; it
 lives here as the oracle.  The first half of this module checks the
 columns bit for bit against it; the second half checks, in an index whose
-buffer pool is far smaller than the index, that queries over evicted
-leaves never build an entry object, and that writes to such a leaf
+buffer pool is far smaller than the index, that queries and ``explain()``
+over evicted leaves never build an entry object, and that writes to such a leaf
 re-encode exactly the bytes the entry-list path produces.
 """
 
@@ -229,6 +229,14 @@ class TestPoolBoundReads:
         for _ in range(60):
             query = random_query(rng)
             assert sorted(index.query(query)) == sorted(oracle.query(query))
+        decodes = sum(t.cache.misses for t in index._trees.values()) - misses
+        assert decodes > 100
+        assert counter.calls == 0
+        # explain() traces the same columnar descent: it builds none either.
+        misses = sum(t.cache.misses for t in index._trees.values())
+        for _ in range(40):
+            query = random_query(rng)
+            assert index.explain(query).results == index.query(query)
         decodes = sum(t.cache.misses for t in index._trees.values()) - misses
         assert decodes > 100
         assert counter.calls == 0

@@ -1,13 +1,15 @@
-"""Bit-exact parity of the vectorized query kernels with the scalar path.
+"""Bit-exact parity of the query kernels with their scalar references.
 
-The PR 2 performance work (SoA leaf columns, ``contains_batch``,
-``classify_quads``, ``matches_batch``, batch refinement) is only
-admissible because every kernel promises *identical* answers to the
-scalar code it replaces -- not "close", identical.  This suite drives
-thousands of seeded-random trajectories and queries through both paths
-and compares results exactly, including float32-rounded points placed
-directly on the region's polyline boundaries where ``>=`` vs ``>``
-mistakes would show up.
+The query path (SoA leaf columns, ``contains_batch``, ``classify_quads``,
+``matches_batch``, the columnar refinement) is only admissible because
+every kernel promises *identical* answers to the per-entry scalar test
+it stands for -- not "close", identical.  This suite drives thousands of
+seeded-random trajectories and queries through the kernels and through
+the scalar references -- ``contains_point``, ``classify_rect``,
+``matches_trajectory``, and the whole-index descent in
+:mod:`tests.reference_search` -- and compares results exactly, including
+float32-rounded points placed directly on the region's polyline
+boundaries where ``>=`` vs ``>`` mistakes would show up.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.dual import DualSpace
-from repro.core.quadtree import QuadTreeConfig
+from repro.baselines.scan import ScanIndex
+from repro.bench.runner import DEFAULT_LIFETIME, make_stripes
 from repro.core.query_region import QueryRegion2D, build_query_regions
 from repro.core.stripes import StripesConfig, StripesIndex
 from repro.query.predicates import MovingQueryEvaluator
@@ -28,6 +30,10 @@ from repro.query.types import (
     TimeSliceQuery,
     WindowQuery,
 )
+from repro.workload.generator import WorkloadSpec, generate_workload
+from repro.workload.operations import InsertOp, QueryOp, UpdateOp
+
+from tests.reference_search import reference_query
 
 VMAX = (3.0, 3.0)
 PMAX = (1000.0, 1000.0)
@@ -160,62 +166,60 @@ class TestMatchesBatchParity:
             assert got.tolist() == want
 
 
-def build_pair(float32: bool):
-    """Twin STRIPES indexes: vectorized kernels on vs the scalar path."""
-    def make(vectorized: bool) -> StripesIndex:
-        return StripesIndex(StripesConfig(
-            vmax=VMAX, pmax=PMAX, lifetime=LIFETIME, float32=float32,
-            quadtree=QuadTreeConfig(vectorized=vectorized)))
-    return make(True), make(False)
+def build_index(float32: bool = False) -> StripesIndex:
+    return StripesIndex(StripesConfig(
+        vmax=VMAX, pmax=PMAX, lifetime=LIFETIME, float32=float32))
 
 
 class TestIndexLevelParity:
-    """Whole-index answers are identical with kernels on or off."""
+    """Whole-index answers equal the reference descent, ids in order.
+
+    Each check runs the production query before the reference, which
+    builds entry lists on the leaves it reads."""
 
     @pytest.mark.parametrize("float32", [False, True])
     @pytest.mark.parametrize("seed", [5, 6])
     def test_query_results_identical(self, seed, float32):
         rng = random.Random(seed)
-        vec, scalar = build_pair(float32)
+        index = build_index(float32)
         states = random_states(rng, 1500)
-        vec.insert_batch(states)
-        for state in states:
-            scalar.insert(state)
-        assert len(vec) == len(scalar)
+        index.insert_batch(states)
+        assert len(index) == len(states)
         queries = [random_query(rng) for _ in range(120)]
-        batch = vec.query_batch(queries)
+        batch = index.query_batch(queries)
         for k, query in enumerate(queries):
-            expect = scalar.query(query)
-            assert batch[k] == expect
-            assert vec.query(query) == expect
-            assert vec.count(query) == scalar.count(query)
+            got = index.query(query)
+            count = index.count(query)
+            expect = reference_query(index, query)
+            assert batch[k] == got == expect
+            assert count == len(expect)
 
     def test_refine_off_identical(self):
         rng = random.Random(8)
-        vec, scalar = build_pair(float32=False)
-        states = random_states(rng, 800)
-        vec.insert_batch(states)
-        scalar.insert_batch(states)
+        index = build_index()
+        index.insert_batch(random_states(rng, 800))
         queries = [random_query(rng) for _ in range(60)]
-        assert vec.query_batch(queries, refine=False) == \
-            [scalar.query(q, refine=False) for q in queries]
+        got = index.query_batch(queries, refine=False)
+        assert got == [reference_query(index, q, refine=False)
+                       for q in queries]
 
     def test_insert_batch_equals_sequential(self):
         rng = random.Random(9)
-        batch_idx, seq_idx = build_pair(float32=False)
+        batch_idx, seq_idx = build_index(), build_index()
         states = random_states(rng, 600)
         assert batch_idx.insert_batch(states) == len(states)
         for state in states:
             seq_idx.insert(state)
         probes = [random_query(rng) for _ in range(40)]
         for query in probes:
-            assert sorted(batch_idx.query(query)) == \
-                sorted(seq_idx.query(query))
+            got = batch_idx.query(query)
+            assert sorted(got) == sorted(seq_idx.query(query))
+            assert got == reference_query(batch_idx, query)
         assert batch_idx.pages_in_use() == seq_idx.pages_in_use()
 
     def test_query_batch_matches_sequential_on_same_index(self):
         rng = random.Random(10)
-        index, _ = build_pair(float32=False)
+        index = build_index()
         index.insert_batch(random_states(rng, 700))
         queries = [random_query(rng) for _ in range(50)]
         assert index.query_batch(queries) == \
@@ -227,23 +231,54 @@ class TestSoAStaleness:
 
     def test_updates_invalidate_soa(self):
         rng = random.Random(13)
-        vec, scalar = build_pair(float32=False)
+        index = build_index()
         states = random_states(rng, 400)
-        vec.insert_batch(states)
-        scalar.insert_batch(states)
+        index.insert_batch(states)
         query = TimeSliceQuery((0.0, 0.0), PMAX, t=30.0)
-        assert vec.query(query) == scalar.query(query)  # warm the SoA views
+        # Warm the SoA views with a production query first.
+        assert index.query(query) == reference_query(index, query)
         for state in states[::3]:
             moved = MovingObjectState(
                 state.oid,
                 pos=tuple(min(PMAX[i], state.pos[i] + 1.0)
                           for i in range(2)),
                 vel=state.vel, t=state.t)
-            vec.update(state, moved)
-            scalar.update(state, moved)
+            index.update(state, moved)
         for _ in range(30):
             probe = random_query(rng)
-            assert vec.query(probe) == scalar.query(probe)
+            assert index.query(probe) == reference_query(index, probe)
+
+
+class TestWorkloadReplay:
+    """End to end: a generated workload replayed op by op through a
+    pool-bound index; every query's ids equal the reference descent's
+    (in order) and ``ScanIndex``'s (as a set)."""
+
+    def test_every_query_matches_reference_and_scan(self):
+        workload = generate_workload(WorkloadSpec(
+            n_objects=2_000, n_operations=400, update_fraction=0.2,
+            seed=7))
+        index = make_stripes(workload, pool_pages=1024).index
+        scan = ScanIndex(DEFAULT_LIFETIME)
+        index.insert_batch(workload.initial)
+        for state in workload.initial:
+            scan.insert(state)
+        queries = hits = 0
+        for op in workload.operations:
+            if isinstance(op, UpdateOp):
+                index.update(op.old, op.new)
+                scan.update(op.old, op.new)
+            elif isinstance(op, InsertOp):
+                index.insert(op.state)
+                scan.insert(op.state)
+            else:
+                assert isinstance(op, QueryOp)
+                got = index.query(op.query)
+                assert got == reference_query(index, op.query)
+                assert set(got) == set(scan.query(op.query))
+                queries += 1
+                hits += len(got)
+        assert queries > 300 and hits > queries
 
 
 class TestDecodedNodeCacheGenerations:

@@ -32,6 +32,8 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.node_store import RecordStore
 from repro.storage.pagefile import InMemoryPageFile
 
+from tests.reference_search import reference_query
+
 VMAX = (3.0, 3.0)
 PMAX = (1000.0, 1000.0)
 LIFETIME = 120.0
@@ -48,12 +50,20 @@ def make_tree(config=None, float32=False, pool_pages=4096):
                         config if config is not None else QuadTreeConfig())
 
 
-def make_index(float32=False, vectorized=True, pool_pages=4096):
+def make_index(float32=False, pool_pages=4096):
     pool = BufferPool(InMemoryPageFile(), capacity=pool_pages)
     config = StripesConfig(vmax=VMAX, pmax=PMAX, lifetime=LIFETIME,
-                           float32=float32,
-                           quadtree=QuadTreeConfig(vectorized=vectorized))
+                           float32=float32)
     return StripesIndex(config, pool)
+
+
+def assert_same_answers(batched, sequential, queries):
+    """Batched writes answer like sequential replay (as sets), and like
+    the reference descent over their own tree (ids in order)."""
+    for q in queries:
+        got = batched.query(q)
+        assert got == reference_query(batched, q)
+        assert set(got) == set(sequential.query(q))
 
 
 def random_states(rng, n, t_lo=0.0, t_hi=LIFETIME, oid_base=0):
@@ -314,16 +324,6 @@ class TestQuadTreeInsertBatch:
         tree.insert_batch(points)
         assert tree.count == 3
 
-    def test_scalar_mode_falls_back(self):
-        config = QuadTreeConfig(vectorized=False)
-        tree = make_tree(config)
-        points = random_dual_points(random.Random(2), 100, make_space())
-        tree.insert_batch(points)
-        reference = make_tree(config)
-        for p in points:
-            reference.insert(p)
-        assert tree_entry_set(tree) == tree_entry_set(reference)
-
 
 class TestQuadTreeDeleteBatch:
     @pytest.mark.parametrize("config", SPLIT_CONFIGS)
@@ -413,8 +413,7 @@ class TestStripesBatchParity:
             sequential.insert(s)
         assert batched.live_windows == sequential.live_windows
         assert len(batched) == len(sequential)
-        for q in random_queries(rng, 40):
-            assert set(batched.query(q)) == set(sequential.query(q))
+        assert_same_answers(batched, sequential, random_queries(rng, 40))
 
     def test_delete_batch_matches_sequential(self):
         """Deletes of live, absent, and rotation-expired entries all
@@ -471,8 +470,7 @@ class TestStripesBatchParity:
         assert set(batched.live_windows) <= set(sequential.live_windows)
         assert max(batched.live_windows) == max(sequential.live_windows)
         assert len(batched) == len(sequential)
-        for q in random_queries(rng, 40):
-            assert set(batched.query(q)) == set(sequential.query(q))
+        assert_same_answers(batched, sequential, random_queries(rng, 40))
 
     def test_update_batch_spanning_rotation(self):
         """Chained updates whose windows the batch itself rotates out
@@ -504,8 +502,7 @@ class TestStripesBatchParity:
         assert set(batched.live_windows) <= set(sequential.live_windows)
         assert max(batched.live_windows) == max(sequential.live_windows)
         assert len(batched) == len(sequential)
-        for q in random_queries(rng, 30):
-            assert set(batched.query(q)) == set(sequential.query(q))
+        assert_same_answers(batched, sequential, random_queries(rng, 30))
 
     def test_update_batch_with_none_old(self):
         rng = random.Random(43)
@@ -527,8 +524,7 @@ class TestStripesBatchParity:
         for pair in [(None, a), (None, b), (a, b)]:
             sequential.update(*pair)
         assert len(index) == len(sequential)
-        for q in random_queries(rng, 10):
-            assert set(index.query(q)) == set(sequential.query(q))
+        assert_same_answers(index, sequential, random_queries(rng, 10))
 
     def test_dimension_mismatch_raises(self):
         index = make_index()
